@@ -87,8 +87,8 @@ class MDEnforcer:
     def _lookup_parent_tid(self, md: MatchingDependency, fk_value) -> object:
         self.stats.child_lookups += 1
         parent = self._catalog.table(md.parent_table)
-        row = parent.get_row(fk_value)
-        if row is None:
+        locator = parent.pk_lookup(fk_value)
+        if locator is None:
             self.stats.lookups_failed += 1
             if self._enforce_ri:
                 raise IntegrityError(
@@ -97,7 +97,10 @@ class MDEnforcer:
                     f"(via {md.child_fk!r})"
                 )
             return None
-        return row[md.tid_column]
+        # One probe serves both the RI check and the tid copy (Section 6.3):
+        # decode only the tid value, never the whole parent row.
+        partition = parent.partition(locator.partition)
+        return partition.column(md.tid_column).value_at(locator.row)
 
     def __repr__(self) -> str:
         return (

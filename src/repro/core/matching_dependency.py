@@ -17,11 +17,9 @@ that makes the resulting tid ranges prunable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..errors import SchemaError
 from ..storage.catalog import Catalog
-from ..storage.schema import tid_column
 
 
 @dataclass(frozen=True)
@@ -110,12 +108,3 @@ def validate_md(md: MatchingDependency, catalog: Catalog) -> None:
                 "declare it with storage.tid_column() or let the Database "
                 "facade install it"
             )
-
-
-def md_columns_for(
-    md: MatchingDependency, table_name: str
-) -> Optional[object]:
-    """The tid ``ColumnDef`` this MD needs on the given table, or None."""
-    if table_name in (md.parent_table, md.child_table):
-        return tid_column(md.tid_column)
-    return None

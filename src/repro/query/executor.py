@@ -209,11 +209,6 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     # worker pool
     # ------------------------------------------------------------------
-    @property
-    def parallel_config(self) -> Optional[ParallelConfig]:
-        """The default parallel configuration (None = always serial)."""
-        return self._parallel
-
     def _ensure_pool(self, n_workers: int) -> ThreadPoolExecutor:
         with self._pool_lock:
             if self._pool is None or self._pool_size != n_workers:

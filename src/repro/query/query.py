@@ -169,10 +169,6 @@ class AggregateQuery:
                 return ref.table
         raise QueryError(f"unknown alias {alias!r}")
 
-    def edges_of(self, alias: str) -> List[JoinEdge]:
-        """The join edges touching an alias."""
-        return [e for e in self.join_edges if alias in e.aliases()]
-
     def local_filters(self, alias: str) -> List[Expr]:
         """Filter conjuncts that only touch the given alias."""
         return [f for f in self.filters if single_alias_of(f) == alias]

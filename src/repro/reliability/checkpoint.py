@@ -37,8 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import DurabilityError
 from ..storage.aging import aging_rule_from_spec, aging_rule_spec
-from ..storage.partition import LIVE, Partition
-from ..storage.schema import ColumnDef, Schema, SqlType
+from ..storage.schema import Schema
 from .faults import FaultInjector
 
 _FORMAT_VERSION = 1
@@ -106,24 +105,14 @@ def write_checkpoint(
                 "aging": aging,
                 "separate_update_delta": table.separate_update_delta,
                 "primary_key": table.schema.primary_key,
-                "columns": [
-                    {
-                        "name": column.name,
-                        "type": column.sql_type.value,
-                        "nullable": column.nullable,
-                        "is_tid": column.is_tid,
-                    }
-                    for column in table.schema
-                ],
+                "columns": table.schema.to_spec(),
                 "partitions": [
                     {
                         "name": partition.name,
                         "kind": partition.kind,
-                        "rows": [
-                            partition.get_row(i) for i in range(partition.row_count)
-                        ],
-                        "cts": [int(v) for v in partition.cts_array()],
-                        "dts": [int(v) for v in partition.dts_array()],
+                        "rows": partition.decoded_rows(),
+                        "cts": partition.cts_array().tolist(),
+                        "dts": partition.dts_array().tolist(),
                     }
                     for partition in table.partitions()
                 ],
@@ -197,18 +186,7 @@ def restore_checkpoint(db, state: Dict) -> None:
     if db.catalog.table_names():
         raise DurabilityError("cannot restore a checkpoint into a non-empty database")
     for spec in state["tables"]:
-        schema = Schema(
-            [
-                ColumnDef(
-                    column["name"],
-                    SqlType(column["type"]),
-                    nullable=column["nullable"],
-                    is_tid=column["is_tid"],
-                )
-                for column in spec["columns"]
-            ],
-            primary_key=spec["primary_key"],
-        )
+        schema = Schema.from_spec(spec["columns"], spec["primary_key"])
         table = db.catalog.create_table(
             spec["name"],
             schema,
@@ -216,8 +194,8 @@ def restore_checkpoint(db, state: Dict) -> None:
             separate_update_delta=spec["separate_update_delta"],
         )
         table.table_id = spec["table_id"]
-        for part_spec in spec["partitions"]:
-            _restore_partition(table, part_spec)
+        for part in spec["partitions"]:
+            table.restore_partition(part["name"], part["rows"], part["cts"], part["dts"])
         table.rebuild_pk_index()
     for md_spec in state["matching_dependencies"]:
         db.add_matching_dependency(
@@ -233,19 +211,3 @@ def restore_checkpoint(db, state: Dict) -> None:
     db.catalog._next_table_id = max(
         db.catalog._next_table_id, state["next_table_id"]
     )
-
-
-def _restore_partition(table, spec: Dict) -> None:
-    target = table.partition(spec["name"])
-    rows = [table.schema.validate_row(row) for row in spec["rows"]]
-    if target.kind == "main":
-        rebuilt = Partition.build_main(
-            spec["name"], table.schema, rows, spec["cts"], spec["dts"]
-        )
-        group = table._group_of_partition(spec["name"])
-        group.main = rebuilt
-    else:
-        for row, created, invalidated in zip(rows, spec["cts"], spec["dts"]):
-            row_idx = target.append_row(row, created)
-            if invalidated != LIVE:
-                target.invalidate(row_idx, invalidated)

@@ -34,10 +34,11 @@ class ColumnFragment:
 
     __slots__ = ("name", "dictionary", "_codes", "_null_state")
 
-    def __init__(self, name: str, dictionary: Optional[Dictionary] = None):
+    def __init__(self, name: str, dictionary: Optional[Dictionary] = None, codes=()):
         self.name = name
         self.dictionary: Dictionary = dictionary if dictionary is not None else DeltaDictionary()
         self._codes = IntVector()
+        self._codes.extend(codes)  # codes already encoded against ``dictionary``
         # Cached (row_count, has_nulls) synopsis fact.  Code vectors are
         # append-only (invalidation touches only MVCC stamps), so a cached
         # verdict stays valid exactly while the length is unchanged.
@@ -59,18 +60,17 @@ class ColumnFragment:
     def build_main(cls, name: str, values: Sequence[object]) -> "ColumnFragment":
         """Bulk-build a read-optimized fragment from raw ``values``.
 
-        Used by the delta merge: the sorted main dictionary is created from
-        the distinct values and every row re-encoded against it.
+        The sorted main dictionary is created from the distinct values and
+        every row encoded against it.  Restoring a checkpoint builds mains
+        this way; the delta merge stays in code space.
         """
         dictionary = MainDictionary(values)
-        fragment = cls(name, dictionary)
         codes = np.fromiter(
             (NULL_CODE if v is None else dictionary.lookup(v) for v in values),
             dtype=np.int64,
             count=len(values),
         )
-        fragment._codes.extend(codes)
-        return fragment
+        return cls(name, dictionary, codes)
 
     # ------------------------------------------------------------------
     # reads
@@ -109,8 +109,8 @@ class ColumnFragment:
         return self.decode_codes(self.codes_for(rows))
 
     def decode_all(self) -> List[object]:
-        """All row values in row order (used by the merge to rebuild mains)."""
-        return list(self.decode_rows(np.arange(len(self._codes), dtype=np.int64)))
+        """All row values in row order, decoded in one LUT gather."""
+        return self.decode_codes(self._codes.view()).tolist()
 
     def equality_mask(self, value) -> np.ndarray:
         """Boolean mask over all rows where the column equals ``value``.

@@ -28,10 +28,14 @@ partitions.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Protocol, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import StorageError
+from .column import ColumnFragment
+from .dictionary import NULL_CODE, MainDictionary
 from .partition import LIVE, Partition
 from .table import PartitionGroup, Table
 
@@ -203,31 +207,59 @@ def _build_group(
 ) -> Tuple[Partition, Partition, int, int]:
     """Rebuild one (main, delta) pair off to the side, without swapping.
 
+    The merge runs in code space (Krueger et al.): a stamp mask per
+    partition selects the surviving rows and no row is ever decoded.
+
     Returns ``(new_main, new_delta, rows moved, rows dropped)``.
     """
-    rows: List[Dict[str, object]] = []
-    cts: List[int] = []
-    dts: List[int] = []
-    moved = 0
-    dropped = 0
-    for partition in group.partitions():
-        cts_arr = partition.cts_array()
-        dts_arr = partition.dts_array()
-        for row in range(partition.row_count):
-            if cts_arr[row] > snapshot:
-                raise StorageError(
-                    f"row created by future transaction {int(cts_arr[row])} "
-                    f"found during merge at snapshot {snapshot}"
-                )
-            invalidated = dts_arr[row] != LIVE and dts_arr[row] <= snapshot
-            if invalidated and not keep_history:
-                dropped += 1
-                continue
-            rows.append(partition.get_row(row))
-            cts.append(int(cts_arr[row]))
-            dts.append(int(dts_arr[row]))
-            if partition.kind == "delta":
-                moved += 1
-    new_main = Partition.build_main(group.main.name, table.schema, rows, cts, dts)
-    new_delta = Partition(group.delta.name, "delta", table.schema)
-    return new_main, new_delta, moved, dropped
+    partitions = group.partitions()
+    keeps: List[np.ndarray] = []
+    moved = dropped = 0
+    for partition in partitions:
+        cts, dts = partition.cts_array(), partition.dts_array()
+        future = cts[cts > snapshot]
+        if len(future):
+            raise StorageError(
+                f"row created by future transaction {int(future[0])} "
+                f"found during merge at snapshot {snapshot}"
+            )
+        live = (dts == LIVE) | (dts > snapshot)
+        keep = np.ones_like(live) if keep_history else live
+        kept = int(keep.sum())
+        dropped += len(keep) - kept
+        moved += kept if partition.kind == "delta" else 0
+        keeps.append(keep)
+    new_main = Partition.from_fragments(
+        group.main.name,
+        table.schema,
+        [_merge_column(col.name, partitions, keeps) for col in table.schema],
+        np.concatenate([p.cts_array()[k] for p, k in zip(partitions, keeps)]),
+        np.concatenate([p.dts_array()[k] for p, k in zip(partitions, keeps)]),
+    )
+    return new_main, Partition(group.delta.name, "delta", table.schema), moved, dropped
+
+
+def _merge_column(name: str, partitions, keeps) -> ColumnFragment:
+    """One column of the group as a sorted main fragment.
+
+    The dictionary holds only values the kept rows reference, so a value left
+    only in dropped rows leaves the Equation 5 min/max.  Equal values keep the
+    earliest partition's object, as ``MainDictionary(values)`` would.
+    """
+    parts = []
+    distinct: set = set()
+    for partition, keep in zip(partitions, keeps):
+        fragment = partition.column(name)
+        codes = fragment.codes()[keep]
+        used = np.unique(codes[codes != NULL_CODE])
+        values = fragment.decode_codes(used).tolist()
+        distinct.update(values)
+        parts.append((codes, used, values))
+    dictionary = MainDictionary.from_sorted(sorted(distinct))
+    remapped = []
+    for codes, used, values in parts:
+        # Old-to-new code LUT; code -1 wraps onto its unused last slot.
+        lut = np.full(used[-1] + 2 if len(used) else 1, NULL_CODE, dtype=np.int64)
+        lut[used] = [dictionary.lookup(value) for value in values]
+        remapped.append(lut[codes])
+    return ColumnFragment(name, dictionary, np.concatenate(remapped))

@@ -92,13 +92,22 @@ class Partition:
         cts: Sequence[int],
         dts: Sequence[int],
     ) -> "Partition":
-        """Bulk-build a read-optimized main partition (delta merge path)."""
+        """Bulk-build a read-optimized main partition from decoded rows
+        (checkpoint and snapshot restore)."""
         if not (len(rows) == len(cts) == len(dts)):
             raise StorageError("rows/cts/dts length mismatch in build_main")
+        fragments = [
+            ColumnFragment.build_main(col.name, [row[col.name] for row in rows])
+            for col in schema
+        ]
+        return cls.from_fragments(name, schema, fragments, cts, dts)
+
+    @classmethod
+    def from_fragments(cls, name: str, schema: Schema, fragments, cts, dts) -> "Partition":
+        """A main partition over already-built fragments (delta merge path)."""
         partition = cls(name, "main", schema)
-        for col in schema:
-            values = [row[col.name] for row in rows]
-            partition._columns[col.name] = ColumnFragment.build_main(col.name, values)
+        for fragment in fragments:
+            partition._columns[fragment.name] = fragment
         partition._cts.extend(cts)
         partition._dts.extend(dts)
         return partition
@@ -161,8 +170,13 @@ class Partition:
         return list(self._columns)
 
     def get_row(self, row: int) -> Dict[str, object]:
-        """Decoded values of one row as a dict (diagnostics / merge path)."""
+        """Decoded values of one row as a dict (point reads and diagnostics)."""
         return {name: frag.value_at(row) for name, frag in self._columns.items()}
+
+    def decoded_rows(self) -> List[Dict[str, object]]:
+        """Every row as a dict, decoded one column at a time (persistence)."""
+        columns = [frag.decode_all() for frag in self._columns.values()]
+        return [dict(zip(self._columns, values)) for values in zip(*columns)]
 
     def cts_array(self) -> np.ndarray:
         """Zero-copy view of creation stamps."""

@@ -151,6 +151,23 @@ class Schema:
             row[col.name] = col.sql_type.coerce(value)
         return row
 
+    def to_spec(self) -> List[Dict[str, object]]:
+        """JSON form of the columns, as checkpoints and snapshots store it."""
+        return [
+            {"name": c.name, "type": c.sql_type.value, "nullable": c.nullable,
+             "is_tid": c.is_tid}
+            for c in self._columns
+        ]
+
+    @classmethod
+    def from_spec(cls, columns: Sequence[Dict], primary_key: Optional[str]) -> "Schema":
+        """Inverse of :meth:`to_spec`."""
+        defs = [
+            ColumnDef(c["name"], SqlType(c["type"]), c["nullable"], c["is_tid"])
+            for c in columns
+        ]
+        return cls(defs, primary_key=primary_key)
+
     def extended_with(self, extra: Sequence[ColumnDef]) -> "Schema":
         """Return a new schema with ``extra`` columns appended."""
         return Schema(list(self._columns) + list(extra), primary_key=self.primary_key)

@@ -26,8 +26,8 @@ from typing import Callable, Dict, Optional
 
 from ..errors import StorageError
 from .aging import aging_rule_from_spec, aging_rule_spec
-from .partition import LIVE, Partition
-from .schema import ColumnDef, Schema, SqlType
+from .partition import Partition
+from .schema import Schema
 from .table import Table
 
 _FORMAT_VERSION = 1
@@ -72,15 +72,7 @@ def save_database(db, directory) -> Path:
                 else None,
                 "separate_update_delta": table.separate_update_delta,
                 "primary_key": table.schema.primary_key,
-                "columns": [
-                    {
-                        "name": column.name,
-                        "type": column.sql_type.value,
-                        "nullable": column.nullable,
-                        "is_tid": column.is_tid,
-                    }
-                    for column in table.schema
-                ],
+                "columns": table.schema.to_spec(),
                 "partitions": [p.name for p in table.partitions()],
             }
         )
@@ -95,12 +87,8 @@ def _save_partition(root: Path, table_name: str, partition: Partition) -> None:
     cts = partition.cts_array()
     dts = partition.dts_array()
     with path.open("w") as handle:
-        for row_idx in range(partition.row_count):
-            record = {
-                "row": partition.get_row(row_idx),
-                "cts": int(cts[row_idx]),
-                "dts": int(dts[row_idx]),
-            }
+        for row, created, invalidated in zip(partition.decoded_rows(), cts, dts):
+            record = {"row": row, "cts": int(created), "dts": int(invalidated)}
             handle.write(json.dumps(record) + "\n")
 
 
@@ -130,18 +118,7 @@ def load_database(
     aging_rules = aging_rules or {}
     db = Database(**database_kwargs)
     for spec in catalog["tables"]:
-        schema = Schema(
-            [
-                ColumnDef(
-                    column["name"],
-                    SqlType(column["type"]),
-                    nullable=column["nullable"],
-                    is_tid=column["is_tid"],
-                )
-                for column in spec["columns"]
-            ],
-            primary_key=spec["primary_key"],
-        )
+        schema = Schema.from_spec(spec["columns"], spec["primary_key"])
         aging_rule = aging_rules.get(spec["name"])
         if aging_rule is None and spec["aged"]:
             # Serializable rules round-trip through the snapshot itself; an
@@ -191,13 +168,4 @@ def _load_partition(root: Path, table_name: str, table: Table, partition_name: s
             rows.append(record["row"])
             cts.append(record["cts"])
             dts.append(record["dts"])
-    target = table.partition(partition_name)
-    if target.kind == "main":
-        rebuilt = Partition.build_main(partition_name, table.schema, rows, cts, dts)
-        group = table._group_of_partition(partition_name)
-        group.main = rebuilt
-    else:
-        for row, created, invalidated in zip(rows, cts, dts):
-            row_idx = target.append_row(table.schema.validate_row(row), created)
-            if invalidated != LIVE:
-                target.invalidate(row_idx, invalidated)
+    table.restore_partition(partition_name, rows, cts, dts)

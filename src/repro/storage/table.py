@@ -18,16 +18,23 @@ All writes follow the insert-only MVCC discipline of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import IntegrityError, SchemaError, StorageError
 from .partition import LIVE, Partition
 from .schema import Schema
 
 
-@dataclass(frozen=True)
-class RowLocator:
-    """Physical address of a row version: (partition name, row index)."""
+class RowLocator(NamedTuple):
+    """Physical address of a row version: (partition name, row index).
+
+    A named tuple rather than a frozen dataclass: every insert and every
+    primary-key index rebuild creates one per row, and a tuple is several
+    times cheaper to construct.
+    """
 
     partition: str
     row: int
@@ -360,6 +367,21 @@ class Table:
             group.update_delta = new_update_delta
         self.bump_version()
 
+    def restore_partition(self, name: str, rows, cts, dts) -> None:
+        """Load persisted rows and stamps into an empty partition (checkpoint
+        and snapshot restore); call :meth:`rebuild_pk_index` afterwards."""
+        rows = [self.schema.validate_row(row) for row in rows]
+        target = self.partition(name)
+        if target.kind == "main":
+            self._group_of_partition(name).main = Partition.build_main(
+                name, self.schema, rows, cts, dts
+            )
+            return
+        for row, created, invalidated in zip(rows, cts, dts):
+            row_idx = target.append_row(row, created)
+            if invalidated != LIVE:
+                target.invalidate(row_idx, invalidated)
+
     def rebuild_pk_index(self) -> None:
         """Recompute the primary-key index after partitions were rebuilt."""
         pk_col = self.schema.primary_key
@@ -367,13 +389,10 @@ class Table:
             return
         self._pk_index.clear()
         for partition in self.partitions():
-            dts = partition.dts_array()
-            fragment = partition.column(pk_col)
-            for row in range(partition.row_count):
-                if dts[row] == LIVE:
-                    self._pk_index[fragment.value_at(row)] = RowLocator(
-                        partition.name, row
-                    )
+            live = np.flatnonzero(partition.dts_array() == LIVE)
+            keys = partition.column(pk_col).decode_rows(live).tolist()
+            locators = map(RowLocator, repeat(partition.name), live.tolist())
+            self._pk_index.update(zip(keys, locators))
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{p.name}={p.row_count}" for p in self.partitions())

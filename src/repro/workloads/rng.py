@@ -7,9 +7,6 @@ so that test runs and benchmark sweeps are exactly reproducible.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, TypeVar
-
-T = TypeVar("T")
 
 _SYLLABLES = [
     "bar", "ought", "able", "pri", "pres", "ese", "anti", "cally", "ation", "eing",
@@ -29,11 +26,6 @@ def tpcc_last_name(number: int) -> str:
         + _SYLLABLES[(number // 10) % 10]
         + _SYLLABLES[number % 10]
     )
-
-
-def weighted_choice(rng: random.Random, options: Sequence[T], weights: Sequence[float]) -> T:
-    """One weighted draw (thin wrapper keeping call sites terse)."""
-    return rng.choices(list(options), weights=list(weights), k=1)[0]
 
 
 def iso_date(rng: random.Random, year: int) -> str:

@@ -4,7 +4,15 @@ import pytest
 
 from repro import Database, IntegrityError, SchemaError
 from repro.core import MatchingDependency, MDEnforcer, validate_md
-from repro.storage import Catalog, ColumnDef, Schema, SqlType, tid_column
+from repro.storage import (
+    Catalog,
+    ColumnDef,
+    Schema,
+    SqlType,
+    threshold_aging,
+    tid_column,
+)
+from repro.storage.coldstore import release_table
 
 from ..conftest import make_erp_db
 
@@ -152,6 +160,65 @@ class TestEnforcement:
         assert len(deps) == 2
         assert len(db.enforcer.dependencies_of_child("item")) == 2
         assert db.enforcer.dependencies_of_child("header") == []
+
+
+class TestParentTidLookup:
+    """The child's tid comes from one primary-key probe of the parent's
+    *live* version, wherever that version lives, and a missing parent is
+    counted once."""
+
+    def insert_parent(self, db, hid, year=2013):
+        txn = db.begin()
+        db.insert("header", {"hid": hid, "year": year}, txn=txn)
+        txn.commit()
+        return txn.tid
+
+    @pytest.mark.parametrize(
+        "separate_update_delta, partition", [(False, "delta"), (True, "udelta")]
+    )
+    def test_updated_parent_live_in_delta(self, separate_update_delta, partition):
+        db = make_erp_db(separate_update_delta=separate_update_delta)
+        tid = self.insert_parent(db, 1)
+        db.merge("header")
+        db.update("header", 1, {"year": 2014})
+        assert db.table("header").pk_lookup(1).partition == partition
+        db.insert("item", {"iid": 1, "hid": 1, "cid": None, "price": 1.0})
+        assert db.table("item").get_row(1)["tid_header"] == tid
+        assert db.enforcer.stats.child_lookups == 1
+        assert db.enforcer.stats.lookups_failed == 0
+
+    def test_parent_in_mapped_cold_main(self, tmp_path):
+        db = Database(cold_path=tmp_path)
+        db.create_table(
+            "header",
+            [("hid", "INT"), ("year", "INT")],
+            primary_key="hid",
+            aging_rule=threshold_aging("year", 2014),
+        )
+        db.create_table("item", [("iid", "INT"), ("hid", "INT")], primary_key="iid")
+        db.add_matching_dependency("header", "hid", "item", "hid")
+        tid = self.insert_parent(db, 1, year=2012)
+        self.insert_parent(db, 2, year=2015)
+        db.merge()
+        assert db.age_out() == [("header", "cold_main")]
+        cold_main = db.table("header").group("cold").main
+        release_table(db.table("header"))  # the probe must fault it back in
+        assert cold_main.storage_tier == "mapped"
+        assert db.table("header").pk_lookup(1).partition == "cold_main"
+        db.insert("item", {"iid": 1, "hid": 1})
+        assert db.table("item").get_row(1)["tid_header"] == tid
+        assert cold_main.storage_tier == "mapped"
+
+    def test_deleted_parent_fails_once(self):
+        db = make_erp_db()
+        self.insert_parent(db, 1)
+        db.merge("header")
+        db.delete("header", 1)
+        with pytest.raises(IntegrityError):
+            db.insert("item", {"iid": 1, "hid": 1, "cid": None, "price": 1.0})
+        assert db.enforcer.stats.child_lookups == 1
+        assert db.enforcer.stats.lookups_failed == 1
+        assert db.table("item").get_row(1) is None
 
 
 class TestSchemaInstallation:
