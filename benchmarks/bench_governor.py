@@ -1,7 +1,7 @@
 """Governor overhead — deadline checks on the CH-benCHmark hit path.
 
 A query with a (generous) deadline carries a :class:`CancelToken` through
-the executor, the serial/parallel subjoin folds, and the delta-memo scan;
+the executor, its per-subjoin fold loop, and the delta-memo scan;
 every boundary calls ``token.check()`` (a clock read only every
 ``CHECK_STRIDE``-th call).  This benchmark measures what those
 cooperative checks cost on cache hits of CH-benCHmark Q3 (4 tables) and

@@ -3,9 +3,11 @@
 The aggregate cache pays for a hit with delta-compensation subjoins: a large
 orderline *delta* joined against small dimension *mains* and folded into a
 grouped aggregate — exactly the shape of CH-benCHmark Q3/Q5 compensation.
-This benchmark times that scan at 10^5 and 10^6 orderline rows under both
-kernels (``kernel_override``), asserts the results are **bit-identical**,
-and asserts the vectorized speedup floor (>= 10x at 10^6 rows).
+This benchmark times that scan at 10^5 and 10^6 orderline rows on the
+engine's code-space kernels and on the row-loop oracle kept in the test
+tree (``tests/query/rowloop_kernel.py``), asserts the results are
+**bit-identical**, and asserts the vectorized speedup floor (>= 10x at
+10^6 rows).  Run it from the repository root so ``tests`` is importable.
 
 Partitions are bulk-built (no per-row insert path) so the measured time is
 join + aggregation, not load.  Amounts sit on a 0.25 quantum so float sums
@@ -19,6 +21,7 @@ Env knobs:
   (default ``BENCH_join_kernels.json``).
 """
 
+import contextlib
 import json
 import os
 import random
@@ -38,13 +41,9 @@ from repro.query import (
     QueryExecutor,
     TableRef,
 )
-from repro.query.operators import (
-    KERNEL_ROWLOOP,
-    KERNEL_VECTORIZED,
-    kernel_override,
-)
 from repro.storage import Catalog, ColumnDef, Partition, Schema, SqlType
 from repro.storage.partition import LIVE
+from tests.query.rowloop_kernel import rowloop_kernel
 
 _MAX_ROWS = int(os.environ.get("BENCH_JOIN_KERNELS_ROWS", "1000000"))
 _OUT = os.environ.get("BENCH_JOIN_KERNELS_OUT", "BENCH_join_kernels.json")
@@ -250,16 +249,18 @@ def test_join_kernel_speedup(benchmark, figures, shape, n_rows):
     alias_map = {ref.alias: parts[ref.table] for ref in query.tables}
     executor = QueryExecutor(catalog)
 
-    def run_kernel(kernel):
-        with kernel_override(kernel):
+    def run_kernel(context):
+        with context():
             combo = ComboSpec(dict(alias_map))
             return executor.execute(query, SNAPSHOT, combos=[combo]).finalize()
 
     # The row loop is the yardstick: once is enough at 10^6 rows (seconds),
     # twice at smaller scales to shave scheduler noise.
     repeats = 1 if n_rows >= 500_000 else 2
-    rowloop_rows, rowloop_s = _timed(lambda: run_kernel(KERNEL_ROWLOOP), repeats)
-    vector_rows, vector_s = _timed(lambda: run_kernel(KERNEL_VECTORIZED), max(repeats, 3))
+    rowloop_rows, rowloop_s = _timed(lambda: run_kernel(rowloop_kernel), repeats)
+    vector_rows, vector_s = _timed(
+        lambda: run_kernel(contextlib.nullcontext), max(repeats, 3)
+    )
 
     # Bit-identity: same rows, same order, same value types.
     assert vector_rows == rowloop_rows
@@ -274,7 +275,9 @@ def test_join_kernel_speedup(benchmark, figures, shape, n_rows):
     elif n_rows >= 100_000:
         assert speedup >= 3.0, f"{shape}@{n_rows}: speedup {speedup:.1f}x < 3x"
 
-    benchmark.pedantic(lambda: run_kernel(KERNEL_VECTORIZED), rounds=3, iterations=1)
+    benchmark.pedantic(
+        lambda: run_kernel(contextlib.nullcontext), rounds=3, iterations=1
+    )
 
     _STATE[("cell", shape, n_rows)] = {
         "shape": shape,

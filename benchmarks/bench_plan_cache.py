@@ -6,12 +6,11 @@ bind, subjoin enumeration, prune decisions, and cost-seeded join-order
 selection.  This benchmark runs CH-benCHmark Q3 (4 tables, 16 subjoins)
 and Q5 (7 tables, 128 subjoins) through the full ``Database.query`` path
 repeatedly — the steady state is all plan-cache hits — against an
-identical database with the plan cache disabled (``plan_cache_size=0``),
-serially and with a 4-worker subjoin pool.
+identical database with the plan cache disabled (``plan_cache_size=0``).
 
-Results are asserted bit-identical across all four modes: a cached plan
+Results are asserted bit-identical across both modes: a cached plan
 replays the same subjoin list in the same combination order, so caching
-(and parallelism) cannot change a single bit of the answer.
+cannot change a single bit of the answer.
 """
 
 import os
@@ -20,15 +19,12 @@ import pytest
 
 from repro import Database
 from repro.core.strategies import CacheConfig
-from repro.query import ParallelConfig
 from repro.workloads import CH_QUERIES, ChBenchmark, ChConfig
 
-#: (label, plan cache capacity, worker pool).
+#: (label, plan cache capacity).
 MODES = [
-    ("serial-nocache", 0, None),
-    ("serial-cached", 128, None),
-    ("4w-nocache", 0, ParallelConfig(n_workers=4, min_combos=2, min_rows=0)),
-    ("4w-cached", 128, ParallelConfig(n_workers=4, min_combos=2, min_rows=0)),
+    ("nocache", 0),
+    ("cached", 128),
 ]
 
 QUERY_NAMES = ["Q3", "Q5"]
@@ -38,12 +34,10 @@ _SCALE = int(os.environ.get("BENCH_PLAN_CACHE_SCALE", "2"))
 _STATE = {}
 
 
-def get_database(capacity: int, parallel) -> Database:
-    key = (capacity, parallel is not None)
+def get_database(capacity: int) -> Database:
+    key = ("db", capacity)
     if key not in _STATE:
-        db = Database(
-            cache_config=CacheConfig(plan_cache_size=capacity), parallel=parallel
-        )
+        db = Database(cache_config=CacheConfig(plan_cache_size=capacity))
         ChBenchmark(
             db,
             ChConfig(
@@ -69,8 +63,8 @@ CELLS = [(name, mode) for name in QUERY_NAMES for mode in MODES]
     "query_name,mode", CELLS, ids=[f"{n}-{m[0]}" for n, m in CELLS]
 )
 def test_plan_cache_throughput(benchmark, figures, query_name, mode):
-    label, capacity, parallel = mode
-    db = get_database(capacity, parallel)
+    label, capacity = mode
+    db = get_database(capacity)
     sql = CH_QUERIES[query_name]
 
     def run():
@@ -78,7 +72,7 @@ def test_plan_cache_throughput(benchmark, figures, query_name, mode):
 
     result = run()  # warm: admits the aggregate-cache entry and the plan
     reference = _STATE.setdefault(("rows", query_name), result.rows)
-    # Bit-identity across cache on/off and serial/parallel.
+    # Bit-identity across cache on/off.
     assert result.rows == reference, f"{query_name} {label} diverged"
     if capacity:
         before = db.plan_cache.stats()

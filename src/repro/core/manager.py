@@ -1314,7 +1314,6 @@ class AggregateCacheManager:
         consumers (parity tests, EXPLAIN ANALYZE) see the same one-span-
         per-planned-subjoin shape in every compensation mode.
         """
-        worker = threading.current_thread().name
         cursor = 0
         for index, sub in enumerate(plan.subjoins):
             if sub.action == "pruned":
@@ -1334,7 +1333,6 @@ class AggregateCacheManager:
                     attrs={
                         "combo": describe_partitions(sub.partitions),
                         "status": "evaluated" if count else "memoized",
-                        "worker": worker,
                     },
                     children=children,
                 )

@@ -21,7 +21,7 @@ same customer/orders/orderline core share one join evaluation.
 
 Key and validity model
 ----------------------
-The key is ``(join-core fingerprint, plan signature, kernel tag, per-alias
+The key is ``(join-core fingerprint, plan signature, per-alias
 partition/pushdown/fixed-rows state)``:
 
 * **join-core fingerprint** — FROM list in declaration order, join edges and
@@ -30,13 +30,11 @@ partition/pushdown/fixed-rows state)``:
   :func:`~repro.plan.cost.choose_join_order` tie-breaks on it: two queries
   share a fingerprint only if they provably produce the same join order,
   scan the same rows, and therefore emit bit-identical tuple orderings —
-  the property the executor's serial/parallel parity guarantee rests on.
+  the property replaying a recycled subjoin rests on.
 * **plan signature** — the per-table version counters.  DML bumps them, so
   entries never outlive a write's partition set; together with the engine's
   writer-preferring lock (no DML *during* a query) this makes watermark /
   epoch revalidation at lookup time unnecessary.
-* **kernel tag** — ``join_kernel()``, mirroring the executor's hash-memo
-  keying: never serve one kernel tuples the other joined.
 * **snapshot horizon** — stored per entry, not in the key: an entry built at
   snapshot ``anchor`` additionally knows the smallest stamp *above* the
   anchor over its partitions (``min_stamp_after``), i.e. the first write —
@@ -48,11 +46,11 @@ partition/pushdown/fixed-rows state)``:
 
 Concurrency
 -----------
-The recycler has its own lock (parallel subjoin workers probe and populate
-concurrently, from multiple queries at once); the manager's lock is never
-taken while holding it.  Per-query outcome counts live on the
-:class:`RecycleContext` handed to the executor, so reports and metrics get
-per-query routing without extra synchronization on the hot path.
+The recycler has its own lock (queries from concurrent clients probe and
+populate it at once); the manager's lock is never taken while holding it.
+Per-query outcome counts live on the :class:`RecycleContext` handed to the
+executor, so reports and metrics get per-query routing without extra
+synchronization on the hot path.
 """
 
 from __future__ import annotations
@@ -118,10 +116,9 @@ class RecycleContext:
     """Per-query recycling handle: fingerprint + signature + snapshot bound
     once at routing time, plus per-query outcome counts for the report.
 
-    Thread-safe by construction: ``lookup``/``store`` funnel through the
-    recycler's lock, and the per-partition horizon memo uses GIL-atomic
-    dict operations (a racing duplicate computation is benign — both
-    threads compute the same value for the same snapshot)."""
+    A context belongs to one query, which runs its subjoins serially on
+    one thread, so the outcome counts and the horizon memo need no lock.
+    ``lookup``/``store`` reach the shared recycler through its lock."""
 
     __slots__ = (
         "recycler",
@@ -173,7 +170,7 @@ class RecycleContext:
                     fixed_key,
                 )
             )
-        return (self.query_fp, self.signature, _kernel_tag(), tuple(parts))
+        return (self.query_fp, self.signature, tuple(parts))
 
     # -- validity --------------------------------------------------------
     def _horizon(self, partition) -> float:
@@ -229,12 +226,6 @@ class RecycleContext:
         )
         if self.recycler._store(key, entry):
             self.stored += 1
-
-
-def _kernel_tag() -> str:
-    from ..query.operators import join_kernel
-
-    return join_kernel()
 
 
 class SubjoinRecycler:

@@ -1,7 +1,6 @@
 """Shared parsing for ``REPRO_*`` environment knobs.
 
-Every knob follows the same contract (generalized from the original
-``REPRO_N_WORKERS`` handling in :mod:`repro.query.parallel`):
+Every knob follows the same contract:
 
 * unset or empty → the caller's default;
 * malformed (not a number) → warn **once per variable per process** and

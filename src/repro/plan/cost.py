@@ -7,7 +7,7 @@ over **estimated** partition row counts (physical rows discounted by a
 fixed per-filter selectivity) to expose the expected order in EXPLAIN;
 the *executor* runs the same function over the **actual** scanned row
 counts of each subjoin, so the runtime order adapts to visibility and
-filters while remaining bit-identical between serial and parallel runs.
+filters while staying deterministic for a given snapshot.
 """
 
 from __future__ import annotations

@@ -322,9 +322,9 @@ class GroupedAggregates:
     def new_like(self) -> "GroupedAggregates":
         """An empty grouped state *sharing* this one's specs list.
 
-        The parallel executor builds per-subjoin partials this way so that
-        folding them back hits :meth:`merge`'s fast identity check instead
-        of comparing canonical spec forms on every subjoin.
+        The executor builds per-subjoin partials this way so that folding
+        them back hits :meth:`merge`'s fast identity check instead of
+        comparing canonical spec forms on every subjoin.
         """
         fresh = GroupedAggregates(())
         fresh.specs = self.specs

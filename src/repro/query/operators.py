@@ -10,16 +10,13 @@ Krueger-et-al. "fast updates on read-optimized databases" template): the
 build side of a hash join is grouped by ``np.unique`` over its stacked key
 code matrix, the probe side is *bridged* into the build side's code space by
 translating dictionaries (one lookup per distinct value, never per row), and
-match multiplicities are expanded with ``np.repeat`` + prefix sums.  A
-row-at-a-time reference kernel is kept behind ``REPRO_JOIN_KERNEL=rowloop``
-(or :func:`kernel_override`); both kernels are bit-identical, which the
+match multiplicities are expanded with ``np.repeat`` + prefix sums.  The
+results are bit-identical to a row-at-a-time reference kernel, which the
 parity suite in ``tests/query/test_kernel_parity.py`` pins down.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,41 +27,6 @@ from ..storage.partition import Partition
 from ..storage.schema import SqlType
 from .aggregates import AggregateSpec, GroupedAggregates
 from .expr import Col, Expr
-
-# ---------------------------------------------------------------------------
-# kernel selection
-# ---------------------------------------------------------------------------
-
-#: Environment variable selecting the join/aggregation kernel.
-JOIN_KERNEL_ENV = "REPRO_JOIN_KERNEL"
-KERNEL_VECTORIZED = "vectorized"
-KERNEL_ROWLOOP = "rowloop"
-
-_KERNEL_OVERRIDE: Optional[str] = None
-
-
-def join_kernel() -> str:
-    """The active kernel: :func:`kernel_override` > env var > vectorized."""
-    if _KERNEL_OVERRIDE is not None:
-        return _KERNEL_OVERRIDE
-    if os.environ.get(JOIN_KERNEL_ENV, "").strip().lower() == KERNEL_ROWLOOP:
-        return KERNEL_ROWLOOP
-    return KERNEL_VECTORIZED
-
-
-@contextmanager
-def kernel_override(kernel: str):
-    """Force a kernel inside the block (parity tests and benchmarks)."""
-    global _KERNEL_OVERRIDE
-    if kernel not in (KERNEL_VECTORIZED, KERNEL_ROWLOOP):
-        raise QueryError(f"unknown join kernel {kernel!r}")
-    previous = _KERNEL_OVERRIDE
-    _KERNEL_OVERRIDE = kernel
-    try:
-        yield
-    finally:
-        _KERNEL_OVERRIDE = previous
-
 
 class PartitionProvider:
     """Column provider over selected rows of a single partition."""
@@ -354,8 +316,6 @@ class _CodeSpaceHashTable:
     a NULL in any key column are masked out wholesale up front.
     """
 
-    kernel = KERNEL_VECTORIZED
-
     __slots__ = (
         "partition", "key_columns", "fragments", "key_space",
         "unique_keys", "group_rows", "starts", "counts", "dense",
@@ -457,75 +417,15 @@ class _CodeSpaceHashTable:
         return out
 
 
-class _RowLoopHashTable:
-    """Reference row-at-a-time build side over decoded tuple keys.
-
-    Kept as the bit-identity baseline the parity suite and the kernel
-    benchmark compare against (``REPRO_JOIN_KERNEL=rowloop``).
-    """
-
-    kernel = KERNEL_ROWLOOP
-
-    __slots__ = ("partition", "key_columns", "table")
-
-    def __init__(self, partition: Partition, rows, key_columns: Sequence[str]):
-        self.partition = partition
-        self.key_columns = tuple(key_columns)
-        rows = np.asarray(rows, dtype=np.int64)
-        arrays = [partition.column(col).decode_rows(rows) for col in key_columns]
-        table: Dict[Tuple, List[int]] = {}
-        for i in range(len(rows)):
-            key = tuple(arr[i] for arr in arrays)
-            if any(part is None for part in key):
-                continue
-            table.setdefault(key, []).append(int(rows[i]))
-        self.table = table
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-    def __bool__(self) -> bool:
-        return bool(self.table)
-
-    def probe(self, current: "JoinedProvider", probe_columns) -> Tuple[np.ndarray, np.ndarray]:
-        """Row-at-a-time probe; same contract as the code-space kernel."""
-        probe_arrays = [current.get(alias, col) for alias, col in probe_columns]
-        n = current.row_count()
-        keep_positions: List[int] = []
-        matched_rows: List[int] = []
-        table = self.table
-        for i in range(n):
-            key = tuple(arr[i] for arr in probe_arrays)
-            if any(part is None for part in key):
-                continue
-            matches = table.get(key)
-            if not matches:
-                continue
-            for row in matches:
-                keep_positions.append(i)
-                matched_rows.append(row)
-        return (
-            np.asarray(keep_positions, dtype=np.int64),
-            np.asarray(matched_rows, dtype=np.int64),
-        )
-
-    def as_dict(self) -> Dict[Tuple, List[int]]:
-        """Decoded-key rendering for diagnostics/tests: key tuple -> rows."""
-        return {key: list(rows) for key, rows in self.table.items()}
-
-
 def build_hash_table(
     partition: Partition, rows: np.ndarray, key_columns: Sequence[str]
 ):
     """Hash the given rows of ``partition`` on the composite key columns.
 
-    Returns the active kernel's build-side table (code-space by default,
-    row-loop under ``REPRO_JOIN_KERNEL=rowloop``).  Rows with a NULL in any
-    key column never join and are dropped here.  The result is falsy when
-    no row survives, so callers can short-circuit empty subjoins.
+    Returns the code-space build-side table.  Rows with a NULL in any key
+    column never join and are dropped here.  The result is falsy when no
+    row survives, so callers can short-circuit empty subjoins.
     """
-    if join_kernel() == KERNEL_ROWLOOP:
-        return _RowLoopHashTable(partition, rows, key_columns)
     return _CodeSpaceHashTable(partition, rows, key_columns)
 
 
@@ -540,8 +440,8 @@ def probe_hash_join(
 
     ``probe_columns`` lists the (alias, column) pairs on the *current* side,
     in the same order as the hash table's key columns.  Produces the expanded
-    tuple set including ``new_alias``; both kernels emit identical index
-    arrays (ascending probe position, build-row order within a key).
+    tuple set including ``new_alias``; its index arrays are ordered by
+    ascending probe position, build-row order within a key.
     """
     positions, matched = hash_table.probe(current, probe_columns)
     indices = {
@@ -573,15 +473,14 @@ def aggregate_into(
     grouped on dictionary *codes* (overflow-safe mixed-radix fold across the
     group-by columns) and reduced per group before the grouped state is
     touched once per group — the column-store way.  Small inputs, MIN/MAX
-    aggregations, and the ``rowloop`` kernel use the straightforward row
-    loop.  Both paths produce bit-identical grouped state.
+    aggregations, and unqualified group-by columns use the straightforward
+    row loop.  Both paths produce bit-identical grouped state.
     """
     n = provider.row_count()
     if n == 0:
         return 0
     vectorizable = (
-        join_kernel() == KERNEL_VECTORIZED
-        and n >= _VECTORIZE_THRESHOLD
+        n >= _VECTORIZE_THRESHOLD
         and all(spec.self_maintainable for spec in specs)
         and all(col.alias is not None for col in group_by)
     )

@@ -4,7 +4,7 @@ The memo (repro.core.delta_memo) reuses the folded compensation value of a
 previous hit and rescans only the delta rows appended past its watermarks.
 These tests pin down every way that reuse must *not* happen — DML on each
 referenced table, merges, older readers, future stamps below the watermark
-— and that serial/parallel and memo-on/off runs agree bit for bit.
+— and that memo-on/off runs agree bit for bit.
 """
 
 import random
@@ -12,7 +12,6 @@ import random
 import pytest
 
 from repro import CacheConfig, Database, ExecutionStrategy
-from repro.query.parallel import ParallelConfig
 
 from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, load_erp, make_erp_db
 
@@ -273,20 +272,12 @@ def _randomized_run(db, rng_seed: int, queries=(PROFIT_SQL, HEADER_ITEM_SQL)):
 
 class TestParity:
     @pytest.mark.parametrize("seed", [7, 21])
-    def test_memo_on_off_serial_parallel_identical(self, seed):
-        """The same randomized history must produce bit-identical rows under
-        every (memo, parallelism) combination."""
+    def test_memo_on_off_identical(self, seed):
+        """The same randomized history must produce bit-identical rows with
+        the memo on and off."""
         configs = {
-            "memo-serial": dict(cache_config=CacheConfig(delta_memo=True)),
-            "nomemo-serial": dict(cache_config=CacheConfig(delta_memo=False)),
-            "memo-parallel": dict(
-                cache_config=CacheConfig(delta_memo=True),
-                parallel=ParallelConfig(n_workers=4, min_combos=1, min_rows=1),
-            ),
-            "nomemo-parallel": dict(
-                cache_config=CacheConfig(delta_memo=False),
-                parallel=ParallelConfig(n_workers=4, min_combos=1, min_rows=1),
-            ),
+            "memo": dict(cache_config=CacheConfig(delta_memo=True)),
+            "nomemo": dict(cache_config=CacheConfig(delta_memo=False)),
         }
         reference = None
         for name, kwargs in configs.items():

@@ -2,7 +2,7 @@
 
 One seeded history — interleaved overlapping queries, business-object
 inserts, and merges — replayed on every engine configuration in
-{serial, parallel} x {memo on, memo off} x {recycler on, recycler off}.
+{memo on, memo off} x {recycler on, recycler off}.
 Every configuration must produce byte-for-byte identical result streams
 (values, Python types, row order), and each matches the uncached truth
 computed on the same database state.  A second test aims concurrent
@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from repro import CacheConfig, Database, ExecutionStrategy, ParallelConfig
+from repro import CacheConfig, Database, ExecutionStrategy
 
 from ..conftest import load_erp, make_erp_db
 
@@ -45,20 +45,11 @@ QUERY_POOL = [
 ]
 
 CONFIGS = {
-    "serial": dict(),
-    "serial-no-recycler": dict(
-        cache_config=CacheConfig(subjoin_recycler=False)
-    ),
-    "serial-no-memo": dict(cache_config=CacheConfig(delta_memo=False)),
-    "serial-no-memo-no-recycler": dict(
+    "default": dict(),
+    "no-recycler": dict(cache_config=CacheConfig(subjoin_recycler=False)),
+    "no-memo": dict(cache_config=CacheConfig(delta_memo=False)),
+    "no-memo-no-recycler": dict(
         cache_config=CacheConfig(delta_memo=False, subjoin_recycler=False)
-    ),
-    "parallel": dict(
-        parallel=ParallelConfig(n_workers=2, min_combos=2, min_rows=1)
-    ),
-    "parallel-no-recycler": dict(
-        cache_config=CacheConfig(subjoin_recycler=False),
-        parallel=ParallelConfig(n_workers=2, min_combos=2, min_rows=1),
     ),
 }
 
@@ -126,9 +117,7 @@ def test_history_bit_identical_across_configurations(seed):
 
 
 def test_concurrent_overlapping_readers_with_writer():
-    db = make_erp_db(
-        parallel=ParallelConfig(n_workers=2, min_combos=2, min_rows=1)
-    )
+    db = make_erp_db()
     load_erp(db, n_headers=6, merge=True)
     load_erp(db, n_headers=2, start_hid=100, merge=False)
 

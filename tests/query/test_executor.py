@@ -147,6 +147,48 @@ class TestJoin:
         rows = {row[0]: row[1] for row in grouped.finalize()}
         assert rows == {"A": 15.0, "B": 21.0}
 
+    def test_compensation_combo_subset(self, env):
+        """The three combinations a cache hit compensates with, evaluated
+        in the given order and folded onto the all-main result, reproduce
+        the full evaluation bit for bit."""
+        catalog, txn = env
+        header = catalog.table("header")
+        item = catalog.table("item")
+        main_combo = ComboSpec(
+            {"h": header.partition("main"), "i": item.partition("main")}
+        )
+        compensation = [
+            ComboSpec({"h": header.partition("main"), "i": item.partition("delta")}),
+            ComboSpec({"h": header.partition("delta"), "i": item.partition("main")}),
+            ComboSpec({"h": header.partition("delta"), "i": item.partition("delta")}),
+        ]
+        executor = QueryExecutor(catalog)
+        stats = ExecutionStats()
+        delta_part = executor.execute(
+            profit_query(), txn.latest_tid, combos=compensation, stats=stats
+        )
+        # Item 6 joins main header 1; item 5 joins delta header 3.
+        assert delta_part.finalize() == [("A", 107.0, 2)]
+        assert stats.combos_evaluated == 3
+        assert stats.combos_empty == 1
+        assert stats.subjoins == [combo.describe() for combo in compensation]
+        cached = executor.execute(profit_query(), txn.latest_tid, combos=[main_combo])
+        folded = executor.execute(
+            profit_query(), txn.latest_tid, combos=compensation, into=cached
+        )
+        full = executor.execute(profit_query(), txn.latest_tid)
+        assert folded.finalize() == full.finalize()
+
+    def test_missing_partition_raises(self, env):
+        catalog, txn = env
+        item = catalog.table("item")
+        bad = [
+            ComboSpec({"i": item.partition("main")}),  # "h" missing
+            ComboSpec({"i": item.partition("delta")}),
+        ]
+        with pytest.raises(QueryError, match="misses partitions"):
+            QueryExecutor(catalog).execute(profit_query(), txn.latest_tid, combos=bad)
+
     def test_delta_main_cross_combo(self, env):
         catalog, txn = env
         header = catalog.table("header")
@@ -192,6 +234,111 @@ class TestJoin:
         grouped = QueryExecutor(catalog).execute(profit_query(), old_snapshot)
         rows = {row[0]: row[1] for row in grouped.finalize()}
         assert rows == {"A": 15.0, "B": 21.0}
+
+
+@pytest.fixture
+def asymmetric_env():
+    """Header/Item catalog with deliberately *asymmetric* sizes: the item
+    table dwarfs the header table, so build-side selection matters."""
+    catalog = Catalog()
+    txn = TransactionManager()
+    header = catalog.create_table(
+        "header",
+        Schema(
+            [
+                ColumnDef("hid", SqlType.INT, nullable=False),
+                ColumnDef("year", SqlType.INT),
+            ],
+            primary_key="hid",
+        ),
+    )
+    item = catalog.create_table(
+        "item",
+        Schema(
+            [
+                ColumnDef("iid", SqlType.INT, nullable=False),
+                ColumnDef("hid", SqlType.INT),
+                ColumnDef("cat", SqlType.TEXT),
+                ColumnDef("price", SqlType.FLOAT),
+            ],
+            primary_key="iid",
+        ),
+    )
+    for hid in range(1, 5):
+        header.insert({"hid": hid, "year": 2013 + hid % 2}, txn.begin().tid)
+    iid = 0
+    for hid in range(1, 5):
+        for k in range(12):
+            iid += 1
+            item.insert(
+                {
+                    "iid": iid,
+                    "hid": hid,
+                    "cat": "ABC"[k % 3],
+                    "price": 1.5 * k + hid * 0.25,
+                },
+                txn.begin().tid,
+            )
+    merge_table(header, txn.latest_tid)
+    merge_table(item, txn.latest_tid)
+    # Delta rows on both tables so all four subjoins are non-trivial.  The
+    # item side stays strictly larger than the header side in *every*
+    # main/delta pairing (48/6 item rows vs. 4/1 header rows).
+    header.insert({"hid": 5, "year": 2015}, txn.begin().tid)
+    for k in range(6):
+        iid += 1
+        item.insert(
+            {"iid": iid, "hid": 1 + k % 5, "cat": "AB"[k % 2], "price": 3.25 * k},
+            txn.begin().tid,
+        )
+    return catalog, txn
+
+
+def item_first_query(header_first=False):
+    # Item FIRST in the FROM list by default: the legacy planner seeded the
+    # probe side from FROM order, which only *happened* to be right.
+    tables = [TableRef("item", "i"), TableRef("header", "h")]
+    return AggregateQuery(
+        tables=tables[::-1] if header_first else tables,
+        aggregates=[
+            AggregateSpec(AggFunc.SUM, Col("price", "i"), "profit"),
+            AggregateSpec(AggFunc.AVG, Col("price", "i"), "avg_price"),
+            AggregateSpec(AggFunc.COUNT, None, "n"),
+        ],
+        group_by=[Col("cat", "i")],
+        join_edges=[JoinEdge("h", "hid", "i", "hid")],
+    )
+
+
+class TestBuildSideSelection:
+    def test_probe_side_is_largest_scan(self, asymmetric_env):
+        catalog, txn = asymmetric_env
+        stats = ExecutionStats()
+        QueryExecutor(catalog).execute(
+            item_first_query(header_first=True), txn.latest_tid, stats=stats
+        )
+        # Regression: the legacy planner probed "h" (first in FROM), building
+        # every hash table on the far larger item side.  The item scan is
+        # larger in every subjoin here, so "i" must probe throughout.
+        assert stats.probe_sides == ["i"] * stats.combos_evaluated
+
+    def test_from_order_does_not_change_plan(self, asymmetric_env):
+        catalog, txn = asymmetric_env
+        s1, s2 = ExecutionStats(), ExecutionStats()
+        executor = QueryExecutor(catalog)
+        executor.execute(item_first_query(), txn.latest_tid, stats=s1)
+        executor.execute(item_first_query(header_first=True), txn.latest_tid, stats=s2)
+        assert s1.probe_sides == s2.probe_sides
+
+    def test_results_unchanged_by_build_side(self, asymmetric_env):
+        catalog, txn = asymmetric_env
+        a = QueryExecutor(catalog).execute(item_first_query(), txn.latest_tid)
+        b = QueryExecutor(catalog).execute(
+            item_first_query(header_first=True), txn.latest_tid
+        )
+        assert dict(
+            (row[0], row[1:]) for row in a.finalize()
+        ) == dict((row[0], row[1:]) for row in b.finalize())
 
 
 class TestBinding:

@@ -1,16 +1,18 @@
 """Randomized vectorized-vs-rowloop kernel parity.
 
 The code-space join/aggregation kernels must be *bit-identical* to the
-row-at-a-time reference: same result rows, same row order, same Python value
-types.  This suite drives both kernels over seeded random databases covering
-NULL join keys, empty deltas, duplicate build keys, main/delta dictionary
-skew, and the serial / parallel / delta-memo execution modes.
+row-at-a-time reference (``tests/query/rowloop_kernel.py``): same result
+rows, same row order, same Python value types.  This suite drives both
+kernels over seeded random databases covering NULL join keys, empty deltas,
+duplicate build keys, main/delta dictionary skew, and the plain and
+delta-memo execution paths.
 
 Float prices are quantized to multiples of 0.25 so float64 sums are exact
 and order-independent — without that, comparing different summation orders
 bitwise would be testing IEEE rounding, not the kernels.
 """
 
+import contextlib
 import random
 
 import numpy as np
@@ -24,19 +26,14 @@ from repro.query import (
     AggregateSpec,
     Col,
     JoinEdge,
-    ParallelConfig,
     QueryExecutor,
     TableRef,
 )
 from repro.query import operators
-from repro.query.operators import (
-    KERNEL_ROWLOOP,
-    KERNEL_VECTORIZED,
-    kernel_override,
-)
-from repro.query.parallel import MEMO_PRIVATE, MEMO_SHARED
 from repro.storage import Catalog, ColumnDef, Schema, SqlType, merge_table
 from repro.txn import TransactionManager
+
+from .rowloop_kernel import RowLoopHashTable, rowloop_kernel
 
 TAGS = ["alpha", "beta", "gamma", "delta", "epsilon"]
 
@@ -146,29 +143,44 @@ def assert_bit_identical(a, b):
             assert type(va) is type(vb), (va, vb)
 
 
-MODES = [
-    ("serial", None),
-    ("parallel-shared", ParallelConfig(n_workers=4, min_combos=2, min_rows=0, memo=MEMO_SHARED)),
-    ("parallel-private", ParallelConfig(n_workers=4, min_combos=2, min_rows=0, memo=MEMO_PRIVATE)),
-]
+#: Kernel label -> context that runs the engine on it.
+KERNELS = {
+    "vectorized": contextlib.nullcontext,
+    "rowloop": rowloop_kernel,
+}
 
 
-@pytest.mark.parametrize("mode,parallel", MODES, ids=[m for m, _ in MODES])
 @pytest.mark.parametrize("empty_delta", [False, True], ids=["delta", "empty-delta"])
 @pytest.mark.parametrize("seed", range(5))
-def test_join_and_aggregation_parity(seed, empty_delta, mode, parallel):
+def test_join_and_aggregation_parity(seed, empty_delta):
     catalog, txn = build_catalog(seed, empty_delta=empty_delta)
     results = {}
-    for kernel in (KERNEL_VECTORIZED, KERNEL_ROWLOOP):
-        executor = QueryExecutor(catalog, parallel=parallel)
-        try:
-            with kernel_override(kernel):
-                grouped = executor.execute(parity_query(), txn.latest_tid)
-        finally:
-            executor.close()
+    for kernel, context in KERNELS.items():
+        with context():
+            grouped = QueryExecutor(catalog).execute(parity_query(), txn.latest_tid)
         results[kernel] = grouped.finalize()
-    assert_bit_identical(results[KERNEL_VECTORIZED], results[KERNEL_ROWLOOP])
-    assert results[KERNEL_VECTORIZED]  # non-degenerate: something joined
+    assert_bit_identical(results["vectorized"], results["rowloop"])
+    assert results["vectorized"]  # non-degenerate: something joined
+
+
+def test_rowloop_kernel_runs_the_oracle_end_to_end(monkeypatch):
+    """Parity only means something if the oracle actually ran: inside the
+    context the executor builds row-loop hash tables and never vectorizes
+    an aggregation, and both swaps are undone on exit."""
+    from repro.query import executor
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("vectorized aggregation ran under rowloop_kernel()")
+
+    monkeypatch.setattr(operators, "_aggregate_vectorized", refuse)
+    threshold = operators._VECTORIZE_THRESHOLD
+    catalog, txn = build_catalog(0)
+    with rowloop_kernel():
+        assert executor.build_hash_table is RowLoopHashTable
+        grouped = QueryExecutor(catalog).execute(parity_query(), txn.latest_tid)
+    assert grouped.finalize()
+    assert executor.build_hash_table is operators.build_hash_table
+    assert operators._VECTORIZE_THRESHOLD == threshold
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -176,8 +188,7 @@ def test_join_index_level_parity(seed):
     """Below aggregation: the joined index arrays themselves must match,
     combo by combo, including empty intersections."""
     from repro.query.executor import choose_join_order  # noqa: F401 (import check)
-    from repro.query.operators import build_hash_table, probe_hash_join
-    from repro.query.operators import JoinedProvider
+    from repro.query.operators import JoinedProvider, build_hash_table, probe_hash_join
 
     catalog, txn = build_catalog(seed)
     header = catalog.table("header")
@@ -190,19 +201,21 @@ def test_join_index_level_parity(seed):
             probe_rows = np.arange(probe_part.row_count, dtype=np.int64)
             current = JoinedProvider({"h": probe_part}, {"h": probe_rows})
             outputs = {}
-            for kernel in (KERNEL_VECTORIZED, KERNEL_ROWLOOP):
-                with kernel_override(kernel):
-                    table = build_hash_table(build_part, build_rows, ["hid"])
-                    if not table:
-                        outputs[kernel] = None
-                        continue
-                    joined = probe_hash_join(
-                        current, [("h", "hid")], "i", build_part, table
-                    )
+            for kernel, build in (
+                ("vectorized", build_hash_table),
+                ("rowloop", RowLoopHashTable),
+            ):
+                table = build(build_part, build_rows, ["hid"])
+                if not table:
+                    outputs[kernel] = None
+                    continue
+                joined = probe_hash_join(
+                    current, [("h", "hid")], "i", build_part, table
+                )
                 outputs[kernel] = {
                     alias: idx.tolist() for alias, idx in joined.indices.items()
                 }
-            assert outputs[KERNEL_VECTORIZED] == outputs[KERNEL_ROWLOOP]
+            assert outputs["vectorized"] == outputs["rowloop"]
 
 
 DB_SQL = (
@@ -238,9 +251,10 @@ def _load_db(db: Database, seed: int, hid_base: int, merge: bool) -> None:
 def test_database_cached_strategies_parity(delta_memo):
     """End to end through the aggregate cache: cached compensation scans
     (including the incremental delta memo's RowRange scans) must agree
-    between kernels and with the uncached oracle."""
+    between kernels and with the uncached oracle.  Each kernel gets its own
+    database: recycler keys carry no kernel."""
     results = {}
-    for kernel in (KERNEL_VECTORIZED, KERNEL_ROWLOOP):
+    for kernel, context in KERNELS.items():
         db = Database(cache_config=CacheConfig(delta_memo=delta_memo))
         db.create_table(
             "header",
@@ -259,7 +273,7 @@ def test_database_cached_strategies_parity(delta_memo):
             primary_key="iid",
         )
         db.add_matching_dependency("header", "hid", "item", "hid")
-        with kernel_override(kernel):
+        with context():
             _load_db(db, seed=7, hid_base=0, merge=True)
             # Prime the cache on the mains, then grow the delta in two
             # steps so the second cached hit exercises memo advancement.
@@ -271,5 +285,5 @@ def test_database_cached_strategies_parity(delta_memo):
             oracle = db.query(DB_SQL, strategy=ExecutionStrategy.UNCACHED)
         assert cached.rows == oracle.rows
         results[kernel] = (first.rows, second.rows, cached.rows)
-    for got, want in zip(results[KERNEL_VECTORIZED], results[KERNEL_ROWLOOP]):
+    for got, want in zip(results["vectorized"], results["rowloop"]):
         assert_bit_identical(got, want)

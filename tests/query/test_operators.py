@@ -1,5 +1,7 @@
 """Unit tests for physical operators: providers, hash joins, aggregation."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,19 +10,21 @@ from hypothesis import strategies as st
 from repro.errors import QueryError
 from repro.query import AggFunc, AggregateSpec, Col, GroupedAggregates
 from repro.query.operators import (
-    KERNEL_ROWLOOP,
-    KERNEL_VECTORIZED,
     JoinedProvider,
     PartitionProvider,
     aggregate_into,
     build_hash_table,
-    join_kernel,
-    kernel_override,
     probe_hash_join,
 )
 from repro.storage import ColumnDef, Partition, Schema, SqlType
 
-BOTH_KERNELS = pytest.mark.parametrize("kernel", [KERNEL_VECTORIZED, KERNEL_ROWLOOP])
+from .rowloop_kernel import RowLoopHashTable, rowloop_kernel
+
+#: The engine's build side and the row-loop oracle's.
+BUILDERS = {"vectorized": build_hash_table, "rowloop": RowLoopHashTable}
+BOTH_KERNELS = pytest.mark.parametrize(
+    "build", list(BUILDERS.values()), ids=list(BUILDERS)
+)
 
 
 def make_partition(name, columns, rows):
@@ -95,43 +99,38 @@ class TestProviders:
 
 class TestHashJoin:
     @BOTH_KERNELS
-    def test_build_skips_null_keys(self, item_part, kernel):
-        with kernel_override(kernel):
-            table = build_hash_table(item_part, np.arange(4), ["hid"])
-        assert table.kernel == kernel
+    def test_build_skips_null_keys(self, item_part, build):
+        table = build(item_part, np.arange(4), ["hid"])
         assert len(table) == 2 and bool(table)
         grouped = table.as_dict()
         assert set(grouped) == {(1,), (2,)}
         assert grouped[(1,)] == [0, 1]
 
     @BOTH_KERNELS
-    def test_empty_table_is_falsy(self, item_part, kernel):
-        with kernel_override(kernel):
-            table = build_hash_table(item_part, np.array([3]), ["hid"])  # NULL key
+    def test_empty_table_is_falsy(self, item_part, build):
+        table = build(item_part, np.array([3]), ["hid"])  # NULL key
         assert not table
         assert len(table) == 0
         assert table.as_dict() == {}
 
     @BOTH_KERNELS
-    def test_probe_expands_matches(self, header_part, item_part, kernel):
+    def test_probe_expands_matches(self, header_part, item_part, build):
         current = JoinedProvider({"h": header_part}, {"h": np.array([0, 1, 2])})
-        with kernel_override(kernel):
-            table = build_hash_table(item_part, np.arange(4), ["hid"])
-            joined = probe_hash_join(current, [("h", "hid")], "i", item_part, table)
+        table = build(item_part, np.arange(4), ["hid"])
+        joined = probe_hash_join(current, [("h", "hid")], "i", item_part, table)
         assert joined.row_count() == 3  # h1 matches twice, h2 once, h3 zero
         assert joined.indices["h"].tolist() == [0, 0, 1]
         assert joined.indices["i"].tolist() == [0, 1, 2]
 
     @BOTH_KERNELS
-    def test_probe_null_keys_never_match(self, header_part, item_part, kernel):
+    def test_probe_null_keys_never_match(self, header_part, item_part, build):
         current = JoinedProvider({"i": item_part}, {"i": np.array([3])})
-        with kernel_override(kernel):
-            table = build_hash_table(header_part, np.arange(3), ["hid"])
-            joined = probe_hash_join(current, [("i", "hid")], "h", header_part, table)
+        table = build(header_part, np.arange(3), ["hid"])
+        joined = probe_hash_join(current, [("i", "hid")], "h", header_part, table)
         assert joined.row_count() == 0
 
     @BOTH_KERNELS
-    def test_composite_key(self, kernel):
+    def test_composite_key(self, build):
         left = make_partition(
             "l", [("a", SqlType.INT), ("b", SqlType.INT)],
             [{"a": 1, "b": 1}, {"a": 1, "b": 2}],
@@ -141,21 +140,10 @@ class TestHashJoin:
             [{"a": 1, "b": 2}, {"a": 1, "b": 3}],
         )
         current = JoinedProvider({"l": left}, {"l": np.arange(2)})
-        with kernel_override(kernel):
-            table = build_hash_table(right, np.arange(2), ["a", "b"])
-            joined = probe_hash_join(current, [("l", "a"), ("l", "b")], "r", right, table)
+        table = build(right, np.arange(2), ["a", "b"])
+        joined = probe_hash_join(current, [("l", "a"), ("l", "b")], "r", right, table)
         assert joined.row_count() == 1
         assert joined.indices["l"].tolist() == [1]
-
-    def test_kernel_selection_env(self, monkeypatch):
-        assert join_kernel() == KERNEL_VECTORIZED
-        monkeypatch.setenv("REPRO_JOIN_KERNEL", "rowloop")
-        assert join_kernel() == KERNEL_ROWLOOP
-        with kernel_override(KERNEL_VECTORIZED):
-            assert join_kernel() == KERNEL_VECTORIZED  # override beats env
-        with pytest.raises(QueryError):
-            with kernel_override("simd"):
-                pass
 
     def test_main_delta_dictionary_bridging(self, header_part):
         """Probe codes are translated when build/probe dictionaries differ:
@@ -171,17 +159,16 @@ class TestHashJoin:
         main = Partition.build_main("hmain", schema, rows, cts=[1] * 4, dts=[0] * 4)
         current = JoinedProvider({"h": header_part}, {"h": np.array([0, 1, 2])})
         results = {}
-        for kernel in (KERNEL_VECTORIZED, KERNEL_ROWLOOP):
-            with kernel_override(kernel):
-                table = build_hash_table(main, np.arange(4), ["hid"])
-                joined = probe_hash_join(current, [("h", "hid")], "m", main, table)
+        for kernel, build in BUILDERS.items():
+            table = build(main, np.arange(4), ["hid"])
+            joined = probe_hash_join(current, [("h", "hid")], "m", main, table)
             results[kernel] = {
                 alias: idx.tolist() for alias, idx in joined.indices.items()
             }
-        assert results[KERNEL_VECTORIZED] == results[KERNEL_ROWLOOP]
+        assert results["vectorized"] == results["rowloop"]
         # h.hid=1 matches main rows 1 and 3 (in build-row order), hid=2 row 2,
         # hid=3 row 0.
-        assert results[KERNEL_VECTORIZED]["m"] == [1, 3, 2, 0]
+        assert results["vectorized"]["m"] == [1, 3, 2, 0]
 
 
 def specs():
@@ -215,9 +202,12 @@ class TestExactnessRegressions:
     def _run_both(self, part, n_rows, group_by, sp):
         provider = JoinedProvider({"i": part}, {"i": np.arange(n_rows)})
         results = {}
-        for kernel in (KERNEL_VECTORIZED, KERNEL_ROWLOOP):
+        for kernel, context in (
+            ("vectorized", contextlib.nullcontext),
+            ("rowloop", rowloop_kernel),
+        ):
             grouped = GroupedAggregates(sp)
-            with kernel_override(kernel):
+            with context():
                 aggregate_into(grouped, provider, group_by, sp)
             results[kernel] = sorted(grouped.finalize())
         return results
@@ -237,8 +227,8 @@ class TestExactnessRegressions:
             AggregateSpec(AggFunc.COUNT, None, "n"),
         ]
         results = self._run_both(part, len(rows), [Col("hid", "i")], sp)
-        assert results[KERNEL_VECTORIZED] == results[KERNEL_ROWLOOP]
-        ((key, total, avg, count),) = results[KERNEL_VECTORIZED]
+        assert results["vectorized"] == results["rowloop"]
+        ((key, total, avg, count),) = results["vectorized"]
         assert key == 1 and count == 60
         assert type(total) is int and total == big + 59
         assert avg == (big + 59) / 60
@@ -252,8 +242,8 @@ class TestExactnessRegressions:
         )
         sp = [AggregateSpec(AggFunc.SUM, Col("val", "i"), "s")]
         results = self._run_both(part, len(rows), [Col("hid", "i")], sp)
-        assert results[KERNEL_VECTORIZED] == results[KERNEL_ROWLOOP]
-        ((_, total),) = results[KERNEL_VECTORIZED]
+        assert results["vectorized"] == results["rowloop"]
+        ((_, total),) = results["vectorized"]
         assert type(total) is int and total == 60 * big
 
     def test_group_code_overflow_keeps_groups_distinct(self):
@@ -270,8 +260,8 @@ class TestExactnessRegressions:
         group_by = [Col(name, "i") for name, _ in cols]
         sp = [AggregateSpec(AggFunc.COUNT, None, "n")]
         results = self._run_both(part, len(rows), group_by, sp)
-        assert results[KERNEL_VECTORIZED] == results[KERNEL_ROWLOOP]
-        out = results[KERNEL_VECTORIZED]
+        assert results["vectorized"] == results["rowloop"]
+        out = results["vectorized"]
         assert len(out) == 257
         assert all(row[-1] == 1 for row in out)
 
@@ -300,15 +290,9 @@ def test_property_vectorized_equals_row_loop(rows):
     vectorized = GroupedAggregates(specs())
     aggregate_into(vectorized, provider, [Col("hid", "i")], specs())
 
-    from repro.query import operators
-
-    original = operators._VECTORIZE_THRESHOLD
-    operators._VECTORIZE_THRESHOLD = 10**9  # force the row loop
-    try:
+    with rowloop_kernel():  # forces the row loop
         looped = GroupedAggregates(specs())
         aggregate_into(looped, provider, [Col("hid", "i")], specs())
-    finally:
-        operators._VECTORIZE_THRESHOLD = original
 
     left = {row[0]: row[1:] for row in vectorized.finalize()}
     right = {row[0]: row[1:] for row in looped.finalize()}

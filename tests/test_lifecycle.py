@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro import Database, ParallelConfig
+from repro import Database
 
 from .conftest import HEADER_ITEM_SQL, load_erp, make_erp_db
 
@@ -20,35 +20,34 @@ class TestClose:
         db.close()
 
     def test_context_manager_closes(self):
-        with make_erp_db(n_workers=2) as db:
+        with make_erp_db() as db:
             load_erp(db, n_headers=2, merge=True)
             assert db.query(HEADER_ITEM_SQL).rows
-        # Pool is down; a serial query still works (executor falls back).
+        # An in-memory database keeps answering after close().
         assert db.query(HEADER_ITEM_SQL).rows
 
     def test_no_thread_leak_across_open_close_cycles(self):
-        """Opening and closing parallel databases repeatedly must not
-        accumulate worker threads."""
+        """Opening, querying and closing databases repeatedly must not
+        accumulate threads: queries run on the calling thread."""
         baseline = live_thread_count()
         for _ in range(5):
-            db = make_erp_db(
-                parallel=ParallelConfig(n_workers=4, min_combos=1, min_rows=1)
-            )
+            db = make_erp_db()
             load_erp(db, n_headers=3, merge=True)
             load_erp(db, n_headers=1, start_hid=50, merge=False)
-            assert db.query(HEADER_ITEM_SQL).rows  # pool actually spun up
+            assert db.query(HEADER_ITEM_SQL).rows  # compensation subjoins ran
+            assert live_thread_count() <= baseline
             db.close()
         assert live_thread_count() <= baseline + 1  # tolerate unrelated noise
 
     def test_no_thread_leak_for_durable_databases(self, tmp_path):
         baseline = live_thread_count()
         for i in range(3):
-            db = Database.open(tmp_path / "db", n_workers=2)
+            db = Database.open(tmp_path / "db")
             db.close()
         assert live_thread_count() <= baseline + 1
 
     def test_queries_after_close_still_answer(self):
-        db = make_erp_db(n_workers=4)
+        db = make_erp_db()
         load_erp(db, n_headers=4, merge=True)
         before = db.query(HEADER_ITEM_SQL).rows
         db.close()
